@@ -259,6 +259,8 @@ impl JsonValue {
     }
 
     /// Parses one JSON document from `text` (must consume all input).
+    /// Arrays and objects may nest at most 128 levels deep; deeper input
+    /// is a [`JsonError`], never a stack overflow.
     pub fn parse(text: &str) -> Result<JsonValue, JsonError> {
         let bytes: Vec<char> = text.chars().collect();
         let mut p = JsonParser {
@@ -266,7 +268,7 @@ impl JsonValue {
             pos: 0,
         };
         p.skip_ws();
-        let value = p.value()?;
+        let value = p.value(0)?;
         p.skip_ws();
         if p.pos != p.chars.len() {
             return Err(p.err("trailing characters after document"));
@@ -309,6 +311,13 @@ impl fmt::Display for JsonError {
 }
 
 impl std::error::Error for JsonError {}
+
+/// Deepest array/object nesting [`JsonValue::parse`] accepts. The parser
+/// recurses once per level, so an unbounded depth lets a short hostile
+/// line (`[[[[…`) overflow the stack and abort the process — a daemon
+/// frame or ledger line must fail with a [`JsonError`] instead. Every
+/// document this workspace writes nests at most a handful of levels.
+const MAX_JSON_DEPTH: usize = 128;
 
 struct JsonParser {
     chars: Vec<char>,
@@ -356,21 +365,26 @@ impl JsonParser {
         Ok(value)
     }
 
-    fn value(&mut self) -> Result<JsonValue, JsonError> {
+    /// Parses the value at the cursor; `depth` counts the arrays and
+    /// objects already open around it.
+    fn value(&mut self, depth: usize) -> Result<JsonValue, JsonError> {
         match self.peek() {
             Some('n') => self.literal("null", JsonValue::Null),
             Some('t') => self.literal("true", JsonValue::Bool(true)),
             Some('f') => self.literal("false", JsonValue::Bool(false)),
             Some('"') => self.string().map(JsonValue::Str),
-            Some('[') => self.array(),
-            Some('{') => self.object(),
+            Some('[' | '{') if depth >= MAX_JSON_DEPTH => {
+                Err(self.err(format!("nesting deeper than {MAX_JSON_DEPTH} levels")))
+            }
+            Some('[') => self.array(depth + 1),
+            Some('{') => self.object(depth + 1),
             Some(c) if c == '-' || c.is_ascii_digit() => self.number(),
             Some(c) => Err(self.err(format!("unexpected {c:?}"))),
             None => Err(self.err("unexpected end of input")),
         }
     }
 
-    fn array(&mut self) -> Result<JsonValue, JsonError> {
+    fn array(&mut self, depth: usize) -> Result<JsonValue, JsonError> {
         self.expect('[')?;
         let mut items = Vec::new();
         self.skip_ws();
@@ -380,7 +394,7 @@ impl JsonParser {
         }
         loop {
             self.skip_ws();
-            items.push(self.value()?);
+            items.push(self.value(depth)?);
             self.skip_ws();
             match self.bump() {
                 Some(',') => continue,
@@ -390,7 +404,7 @@ impl JsonParser {
         }
     }
 
-    fn object(&mut self) -> Result<JsonValue, JsonError> {
+    fn object(&mut self, depth: usize) -> Result<JsonValue, JsonError> {
         self.expect('{')?;
         let mut pairs = Vec::new();
         self.skip_ws();
@@ -404,7 +418,7 @@ impl JsonParser {
             self.skip_ws();
             self.expect(':')?;
             self.skip_ws();
-            let value = self.value()?;
+            let value = self.value(depth)?;
             pairs.push((key, value));
             self.skip_ws();
             match self.bump() {
@@ -1562,6 +1576,21 @@ mod tests {
         ]);
         let text = doc.encode();
         assert_eq!(JsonValue::parse(&text).unwrap(), doc);
+    }
+
+    #[test]
+    fn json_nesting_is_capped_instead_of_overflowing_the_stack() {
+        let arrays = "[".repeat(100_000);
+        let err = JsonValue::parse(&arrays).unwrap_err();
+        assert_eq!(err.at, MAX_JSON_DEPTH);
+        assert!(err.message.contains("nesting"), "{err}");
+        let objects = r#"{"a":"#.repeat(100_000);
+        let err = JsonValue::parse(&objects).unwrap_err();
+        assert_eq!(err.at, MAX_JSON_DEPTH * 5);
+        // The cap itself still parses; one level more does not.
+        let nest = |d: usize| format!("{}{}", "[".repeat(d), "]".repeat(d));
+        assert!(JsonValue::parse(&nest(MAX_JSON_DEPTH)).is_ok());
+        assert!(JsonValue::parse(&nest(MAX_JSON_DEPTH + 1)).is_err());
     }
 
     #[test]

@@ -7,22 +7,25 @@
 //! which re-factors the full kernel matrix on every observation (the
 //! `search/bayes/observe_propose_full` op in `wfctl bench`).
 //!
-//! The default surrogate is smarter about *when* it pays that cost:
+//! The default surrogate never pays that cost while the kernel matrix
+//! stays positive definite:
 //!
-//! * a single [`SearchAlgorithm::observe`] appends one row to the packed
-//!   Cholesky factor (a block update: forward-solve the new off-diagonal
-//!   row, then one scalar pivot) and re-solves `α = K⁻¹y` against the
-//!   extended factor — O(n²) instead of O(n³). The arithmetic performs
-//!   exactly the operations a from-scratch factorization would perform
-//!   for its last row, so the factor, `α`, and every subsequent proposal
-//!   are **bit-for-bit identical** to the full refit (proven by the
-//!   `refit_equivalence` proptests at the workspace root);
-//! * wave boundaries ([`SearchAlgorithm::observe_batch`]) still refit
-//!   from scratch: one O(n³) factorization amortized over the whole wave,
-//!   which doubles as a periodic numerical re-anchor;
-//! * if an incremental pivot ever comes out non-positive (the matrix
-//!   needs jitter), the update falls back to the same jittered full refit
-//!   the from-scratch path would run — the two modes cannot diverge.
+//! * every tell — a single [`SearchAlgorithm::observe`] or a whole wave
+//!   through [`SearchAlgorithm::observe_batch`] — appends one row per new
+//!   observation to the packed Cholesky factor (a block update:
+//!   forward-solve the new off-diagonal row, then one scalar pivot) and
+//!   re-solves `α = K⁻¹y` once against the extended factor: O(b·n²) for a
+//!   wave of `b` instead of O(n³);
+//! * an unjittered from-scratch factorization *is* that row extension
+//!   applied to rows `0..n` in order, so extending the existing factor
+//!   runs the same operations on the same operands. The factor, `α`, and
+//!   every subsequent proposal are **bit-for-bit identical** to the full
+//!   refit (proven by the `refit_equivalence` proptests at the workspace
+//!   root);
+//! * if a new pivot ever comes out non-positive (the matrix needs
+//!   jitter), or the factor is already jittered, the update falls back to
+//!   the same jittered full refit the from-scratch path would run — the
+//!   two modes cannot diverge.
 //!
 //! Unchanged limitations the paper holds against this class: categorical
 //! parameters enter as one-hot features, which the RBF kernel treats
@@ -114,9 +117,9 @@ pub struct BayesOpt {
     pool: usize,
     /// Exploration margin ξ in EI.
     xi: f64,
-    /// Refit from scratch on every single observe (the pre-optimization
-    /// O(n³) path the paper critiques; kept for benches and equivalence
-    /// proofs).
+    /// Refit from scratch on every observe and every wave boundary (the
+    /// pre-optimization O(n³) path the paper critiques; kept for benches
+    /// and as the oracle of the equivalence proofs).
     full_refit_only: bool,
     /// Score proposal pools with the per-candidate EI loop instead of the
     /// batched matrix-level solve (bit-identical; kept for benches and
@@ -172,9 +175,10 @@ impl BayesOpt {
         self
     }
 
-    /// Forces a from-scratch O(n³) refit on every `observe` — the
-    /// pre-optimization cost profile §2.3 describes. The default (false)
-    /// performs the bit-equivalent O(n²) incremental factor extension.
+    /// Forces a from-scratch O(n³) refit on every `observe` and
+    /// `observe_batch` — the pre-optimization cost profile §2.3
+    /// describes. The default (false) performs the bit-equivalent
+    /// O(b·n²) incremental factor extension.
     pub fn with_full_refit(mut self, full: bool) -> Self {
         self.full_refit_only = full;
         self
@@ -240,24 +244,29 @@ impl BayesOpt {
         panic!("kernel matrix is not SPD even after {jitter:e} diagonal jitter");
     }
 
-    /// Extends the factor by the newest observation (O(n²)) — or falls
-    /// back to a full refit when the factor is missing, jittered, or the
-    /// new pivot is not positive. Bit-equivalent to [`BayesOpt::refit`]
-    /// in every case.
-    fn refit_incremental(&mut self) {
-        let n = self.xs.len();
-        let extendable =
-            !self.jittered && self.chol.as_ref().is_some_and(|c| n > 0 && c.n() == n - 1);
+    /// Extends the factor from the `prior` observations it covers to all
+    /// of them — one packed row per new observation, O(b·n²) for `b` new
+    /// rows — then re-solves `α` once. Falls back to a full refit when
+    /// the factor is missing, jittered, or covers other than `prior`
+    /// rows, or when a new pivot is not positive. An unjittered
+    /// [`BayesOpt::refit`] is exactly `try_extend` over rows `0..n` in
+    /// order at zero jitter, so the extension is bit-equivalent to it in
+    /// every case.
+    fn refit_incremental(&mut self, prior: usize) {
+        let extendable = !self.jittered && self.chol.as_ref().is_some_and(|c| c.n() == prior);
         if !extendable {
             self.refit();
             return;
         }
-        let row = self.kernel_row(n - 1, 0.0);
-        let chol = self.chol.as_mut().expect("checked above");
-        if !chol.try_extend(&row) {
-            // The matrix needs jitter: hand over to the retry ladder.
-            self.refit();
-            return;
+        for i in prior..self.xs.len() {
+            let row = self.kernel_row(i, 0.0);
+            let chol = self.chol.as_mut().expect("checked above");
+            if !chol.try_extend(&row) {
+                // The matrix needs jitter: hand over to the retry ladder,
+                // which refactors from scratch.
+                self.refit();
+                return;
+            }
         }
         self.refresh_alpha();
         self.account();
@@ -594,25 +603,22 @@ impl SearchAlgorithm for BayesOpt {
     }
 
     fn observe(&mut self, ctx: &SearchContext<'_>, obs: &Observation) {
-        let t0 = HostTimer::start();
-        self.ingest(ctx, obs);
-        if self.full_refit_only {
-            self.refit();
-        } else {
-            self.refit_incremental();
-        }
-        self.last_update_seconds = t0.seconds();
+        self.observe_batch(ctx, std::slice::from_ref(obs));
     }
 
     fn observe_batch(&mut self, ctx: &SearchContext<'_>, batch: &[Observation]) {
-        // A wave boundary: one from-scratch refit over the whole wave
-        // amortizes the O(n³) cost across every worker's observation and
-        // re-anchors the incremental factor numerically.
+        // A wave boundary: the factor grows by the wave's rows and `α` is
+        // re-solved once, so a wave of b observations costs O(b·n²).
         let t0 = HostTimer::start();
+        let prior = self.xs.len();
         for obs in batch {
             self.ingest(ctx, obs);
         }
-        self.refit();
+        if self.full_refit_only {
+            self.refit();
+        } else {
+            self.refit_incremental(prior);
+        }
         self.last_update_seconds = t0.seconds();
     }
 
@@ -1087,6 +1093,51 @@ mod tests {
         let x = encoder.encode(&space, &cfg);
         let (mu, var) = alg.predict(&x);
         assert!(mu.is_finite() && var.is_finite());
+    }
+
+    #[test]
+    fn duplicate_in_a_wave_falls_back_to_the_jittered_refit_bit_for_bit() {
+        // Without the noise term an exact duplicate makes the kernel
+        // matrix singular, so the extension's pivot for the duplicate row
+        // is zero after two rows of the wave have already been appended.
+        // The fallback must land in the same jitter ladder as the
+        // from-scratch oracle, and later waves must keep matching.
+        let space = one_d_space();
+        let encoder = Encoder::new(&space);
+        let policy = SamplePolicy::Uniform;
+        let singular = || {
+            let mut alg = BayesOpt::new();
+            alg.noise_var = 0.0;
+            alg
+        };
+        let (mut inc, mut full) = (singular(), singular().with_full_refit(true));
+        let at = |x: i64| Configuration::from_values(vec![Value::Int(x)]);
+        let waves: [&[i64]; 3] = [&[0, 30, 60, 90], &[15, 45, 45, 75], &[5, 100]];
+        let mut history: Vec<Observation> = Vec::new();
+        for (w, wave) in waves.iter().enumerate() {
+            let batch: Vec<Observation> = wave
+                .iter()
+                .map(|&x| Observation::ok(at(x), (x as f64).sin(), 1.0))
+                .collect();
+            let ctx = SearchContext {
+                space: &space,
+                encoder: &encoder,
+                direction: Direction::Maximize,
+                policy: &policy,
+                history: &history,
+                iteration: history.len(),
+            };
+            inc.observe_batch(&ctx, &batch);
+            full.observe_batch(&ctx, &batch);
+            history.extend(batch);
+            assert_eq!(inc.jittered, w > 0, "wave {w}: jitter state");
+            assert_eq!(inc.jittered, full.jittered, "wave {w}: jitter state");
+            let (ci, cf) = (inc.chol.as_ref().unwrap(), full.chol.as_ref().unwrap());
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&ci.l), bits(&cf.l), "wave {w}: factors diverged");
+            assert_eq!(bits(&inc.alpha), bits(&full.alpha), "wave {w}: alpha");
+            assert_eq!(inc.stats().memory_bytes, full.stats().memory_bytes);
+        }
     }
 
     #[test]

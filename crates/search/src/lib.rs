@@ -8,7 +8,8 @@
 //! * [`grid`] — systematic coordinate sweeps;
 //! * [`bayes`] — Gaussian-process Bayesian optimization (RBF kernel,
 //!   packed Cholesky, expected improvement). The default maintains the
-//!   factor incrementally (O(n²) per observe) and scores proposal pools
+//!   factor incrementally (O(n²) per new observation, whether told alone
+//!   or in a wave) and scores proposal pools
 //!   with one batched matrix-level triangular solve; the from-scratch
 //!   O(n³)-per-observe profile the paper critiques (Fig. 9) survives
 //!   behind `BayesOpt::with_full_refit`, bit-identical by proof;

@@ -2,11 +2,14 @@
 //! perf work: speeding up the surrogates must not move a single
 //! proposal.
 //!
-//! * `bayes`: an O(n²) incremental Cholesky extension per observe (full
-//!   refit only at wave boundaries) must leave the fitted model — and
-//!   therefore every subsequent `propose`/`propose_batch` — **bit-for-
-//!   bit identical** to the from-scratch O(n³) refit
-//!   (`BayesOpt::with_full_refit(true)`).
+//! * `bayes`: extending the Cholesky factor by each tell's new rows —
+//!   one row per single observe, `b` rows per `observe_batch` wave — must
+//!   leave the fitted model, and therefore every subsequent
+//!   `propose`/`propose_batch` and the accounted memory, **bit-for-bit
+//!   identical** to the from-scratch O(n³) refit
+//!   (`BayesOpt::with_full_refit(true)`). One property feeds the mixed
+//!   observe/wave shape below; a second feeds waves only, sizes cycling
+//!   1, 4, 2, 8, which is what a live or replayed session sends.
 //! * `bayes` pool scoring: the batched matrix-level EI solve (kernel
 //!   columns packed candidate-interleaved, one forward substitution per
 //!   block) must propose exactly what the per-candidate reference loop
@@ -124,6 +127,36 @@ fn feed_both(
     }
 }
 
+/// Feeds `observations` to both algorithms through `observe_batch` only,
+/// wave sizes cycling 1, 4, 2, 8 — a one-lane session tells every
+/// observation as a wave of one, wider sessions a wave per boundary.
+fn feed_waves(
+    a: &mut dyn SearchAlgorithm,
+    b: &mut dyn SearchAlgorithm,
+    space: &ConfigSpace,
+    encoder: &Encoder,
+    policy: &SamplePolicy,
+    observations: &[Observation],
+) {
+    let mut fed = 0;
+    let mut shapes = [1usize, 4, 2, 8].iter().cycle();
+    while fed < observations.len() {
+        let size = (*shapes.next().unwrap()).min(observations.len() - fed);
+        let ctx = SearchContext {
+            space,
+            encoder,
+            direction: Direction::Maximize,
+            policy,
+            history: &observations[..fed],
+            iteration: fed,
+        };
+        let wave = &observations[fed..fed + size];
+        a.observe_batch(&ctx, wave);
+        b.observe_batch(&ctx, wave);
+        fed += size;
+    }
+}
+
 /// Fingerprints a batch of proposals for comparison messages.
 fn fingerprints(configs: &[wf_configspace::Configuration]) -> Vec<u64> {
     configs.iter().map(|c| c.fingerprint()).collect()
@@ -165,6 +198,48 @@ proptest! {
                 keyword, fingerprints(&wave_a), fingerprints(&wave_b)
             );
             // And the single-candidate path too.
+            let single_a = incremental.propose(&ctx, &mut rng_a);
+            let single_b = full.propose(&ctx, &mut rng_b);
+            prop_assert_eq!(single_a, single_b, "{}: single proposals diverged", keyword);
+        }
+    }
+
+    #[test]
+    fn wave_boundary_bayes_extension_matches_full_refit(
+        seed in 0u64..1_000_000,
+        n in 8usize..40,
+    ) {
+        for (keyword, space, policy) in all_target_spaces() {
+            let encoder = Encoder::new(&space);
+            let observations = history(&space, &encoder, &policy, seed, n);
+
+            let mut incremental = BayesOpt::new();
+            let mut full = BayesOpt::new().with_full_refit(true);
+            feed_waves(&mut incremental, &mut full, &space, &encoder, &policy, &observations);
+            prop_assert_eq!(
+                incremental.stats().memory_bytes,
+                full.stats().memory_bytes,
+                "{}: accounted memory diverged",
+                keyword
+            );
+
+            let ctx = SearchContext {
+                space: &space,
+                encoder: &encoder,
+                direction: Direction::Maximize,
+                policy: &policy,
+                history: &observations,
+                iteration: n,
+            };
+            let mut rng_a = StdRng::seed_from_u64(derive_seed(seed, 5 << 40));
+            let mut rng_b = StdRng::seed_from_u64(derive_seed(seed, 5 << 40));
+            let wave_a = incremental.propose_batch(4, &ctx, &mut rng_a);
+            let wave_b = full.propose_batch(4, &ctx, &mut rng_b);
+            prop_assert_eq!(
+                &wave_a, &wave_b,
+                "{}: wave-fed incremental vs full proposals diverged ({:?} vs {:?})",
+                keyword, fingerprints(&wave_a), fingerprints(&wave_b)
+            );
             let single_a = incremental.propose(&ctx, &mut rng_a);
             let single_b = full.propose(&ctx, &mut rng_b);
             prop_assert_eq!(single_a, single_b, "{}: single proposals diverged", keyword);

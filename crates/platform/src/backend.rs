@@ -147,7 +147,7 @@ pub trait EvalBackend: Send {
 }
 
 /// Runs one item inline on the current thread.
-fn run_one(
+pub(crate) fn run_one(
     target: &dyn EvalTarget,
     session_seed: u64,
     repetitions: usize,

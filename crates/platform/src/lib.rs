@@ -7,8 +7,7 @@
 //! * [`cache`] — the kernel-image cache behind §3.1's rebuild-skip, and
 //!   its lock-shared multi-worker form;
 //! * [`workers`] — per-candidate evaluation ([`workers::evaluate_candidate`])
-//!   plus the legacy scoped-thread [`workers::Pool`] and crossbeam-parallel
-//!   benchmark repetitions;
+//!   and crossbeam-parallel benchmark repetitions;
 //! * [`backend`] — the [`backend::EvalBackend`] trait and its persistent
 //!   [`backend::InProcessBackend`] / legacy [`backend::SpawnBackend`]
 //!   implementations (where waves execute);
@@ -17,7 +16,9 @@
 //!   protocol;
 //! * [`router`] — performance-aware slot → lane assignment
 //!   ([`router::Router`]: `random | fastest | round-robin | preferred`)
-//!   with retry and lane health-gating;
+//!   and [`router::dispatch_wave`], the one wave dispatch point (cache
+//!   probe, routed submission with retry and lane health-gating, cache
+//!   publish);
 //! * [`history`] — per-iteration records plus Table 2's summary stats;
 //! * [`metrics`] — smoothing, best-so-far, crash-rate series, per-wave
 //!   scheduling stats, and the Eq. 4 throughput–memory score;
@@ -81,4 +82,4 @@ pub use router::{dispatch_wave, LaneStats, Router, RoutingStrategy};
 pub use store::{JsonlSink, SessionStore, StoreError, StoredDrift, StoredEpoch, StoredSession};
 pub use sync::lock_recover;
 pub use target::{EvalTarget, SimTarget, TargetDescriptor};
-pub use workers::{derive_seed, Pool};
+pub use workers::derive_seed;

@@ -16,7 +16,8 @@
 //! deployment knob ([`wf_jobfile::BackendChoice`]): persistent in-process
 //! worker threads by default, `wf-evald` worker processes for
 //! [`crate::remote::RemoteBackend`], or the legacy per-wave
-//! scoped-thread spawn.
+//! scoped-thread spawn. Resume ([`Session::replay`]) drives the same wave
+//! routine with the stored records standing in for the backend.
 //!
 //! # The two virtual clocks
 //!
@@ -45,7 +46,7 @@
 //! * compile targets give each worker lane its own working tree, so
 //!   incremental-rebuild *durations* depend on the lane's previous
 //!   build; and cache reuse is wave-granular (the deterministic
-//!   two-phase protocol in [`crate::workers::Pool::run_wave`] probes
+//!   two-phase protocol in [`crate::router::dispatch_wave`] probes
 //!   before dispatch and publishes after), so two same-image candidates
 //!   in one wave both build where a sequential sweep builds once.
 //!   Build/boot/bench draw from separate per-candidate RNG streams, so
@@ -54,7 +55,9 @@
 //!   function of (seed, candidate order), which is what makes stores
 //!   replayable bit-for-bit.
 
-use crate::backend::{EvalBackend, InProcessBackend, SpawnBackend};
+use crate::backend::{
+    EvalBackend, InProcessBackend, LaneError, SpawnBackend, WorkItem, WorkResult,
+};
 use crate::cache::SharedImageCache;
 use crate::clock::VirtualClock;
 use crate::epoch::{DriftConfig, DriftState};
@@ -64,14 +67,14 @@ use crate::metrics::{mean_occupancy, WaveStats};
 use crate::remote::{RemoteBackend, RemoteSpec};
 use crate::router::{dispatch_wave, Router};
 use crate::target::{EvalTarget, SimTarget, TargetDescriptor};
-use crate::workers::{self, derive_seed};
+use crate::workers::{build_candidate, CandidateEval};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::fmt;
 use std::sync::Arc;
 use wf_configspace::{ConfigSpace, Configuration, Encoder};
 use wf_jobfile::{BackendChoice, Budget, Direction, RoutingStrategy};
-use wf_ossim::{App, Phase, SimOs};
+use wf_ossim::{App, BenchResult, CrashReport, Phase, SimOs};
 use wf_search::host_clock::HostTimer;
 use wf_search::{Observation, SamplePolicy, SearchAlgorithm, SearchContext};
 
@@ -483,7 +486,6 @@ impl Session {
     /// of the sink-less wave.
     pub fn step_wave_with(&mut self, sink: &mut dyn EventSink) -> &[Record] {
         let start = self.history.len();
-        let wave_index = self.waves.len();
         let remaining = self
             .spec
             .budget
@@ -491,6 +493,30 @@ impl Session {
             .map(|max| max.saturating_sub(start).max(1))
             .unwrap_or(usize::MAX);
         let n = self.workers().min(remaining);
+        self.run_wave(n, None, sink)
+            .expect("a live wave has no stored records to diverge from");
+        &self.history.records()[start..]
+    }
+
+    /// The one wave routine, shared by live waves and replay: ask for
+    /// `n` candidates, dispatch them through [`dispatch_wave`] (routing,
+    /// the two-phase cache protocol, working trees), charge the clocks,
+    /// record, tell, run the drift epilogue and log the [`WaveStats`].
+    ///
+    /// A live wave (`stored: None`) evaluates on the session backend.
+    /// Replay passes the stored records of the same wave: the re-asked
+    /// proposals are cross-checked against them — the only way this
+    /// returns an error — and a [`StoredWave`] source stands in for the
+    /// backend, so everything after the ask is the live code. Replayed
+    /// records keep their stored `algo_seconds`/`algo_memory_bytes`.
+    fn run_wave(
+        &mut self,
+        n: usize,
+        stored: Option<&[Record]>,
+        sink: &mut dyn EventSink,
+    ) -> Result<(), ReplayError> {
+        let start = self.history.len();
+        let wave_index = self.waves.len();
 
         // Continuous sessions restart the algorithm's visible history at
         // each epoch boundary: the model was re-seeded there, and stale
@@ -515,16 +541,36 @@ impl Session {
         };
         let mut algo_seconds = t_ask.seconds();
         assert_eq!(configs.len(), n, "propose_batch must return n candidates");
+        if let Some(stored) = stored {
+            if let Some(offset) = configs
+                .iter()
+                .zip(stored)
+                .position(|(proposed, r)| *proposed != r.config)
+            {
+                return Err(ReplayError::ConfigMismatch {
+                    iteration: start + offset,
+                });
+            }
+        }
         sink.on_event(&SessionEvent::WaveDispatched {
             wave: wave_index,
             first_iteration: start,
             size: n,
         });
 
-        // Evaluate through the routed backend.
+        // Evaluate through the routed backend, or hand back the stored
+        // outcomes on replay.
+        let mut source: StoredWave<'_>;
+        let backend: &mut dyn EvalBackend = match stored {
+            Some(records) => {
+                source = StoredWave { records };
+                &mut source
+            }
+            None => self.backend.as_mut(),
+        };
         let (hits_before, misses_before) = self.cache.stats();
         let evals = dispatch_wave(
-            self.backend.as_mut(),
+            backend,
             &mut self.router,
             &self.target,
             &configs,
@@ -587,10 +633,10 @@ impl Session {
                 Err(crash) => record.crash_phase = Some(crash.phase),
                 Ok(r) => {
                     // Continuous mode re-draws the metric against the
-                    // phase active at the candidate's own virtual time;
-                    // the drifted value is what gets stored, so replay
-                    // (which recomputes objectives from stored metrics)
-                    // needs no drift model at all.
+                    // phase active at the candidate's own virtual time.
+                    // The draw is a pure function of (seed, iteration,
+                    // stored durations), so replay re-derives the stored
+                    // value bit for bit.
                     let metric = match &self.drift {
                         Some(drift) => drift.drifted_metric(
                             self.spec.seed,
@@ -635,9 +681,14 @@ impl Session {
         // (Fig. 8 plots per-iteration algorithm time).
         let per_record = algo_seconds / n as f64;
         let mut best = self.history.best(direction).and_then(|r| r.objective);
-        for mut record in records {
-            record.algo_seconds = per_record;
-            record.algo_memory_bytes = stats.memory_bytes;
+        for (offset, mut record) in records.into_iter().enumerate() {
+            (record.algo_seconds, record.algo_memory_bytes) = match stored {
+                Some(stored) => (
+                    stored[offset].algo_seconds,
+                    stored[offset].algo_memory_bytes,
+                ),
+                None => (per_record, stats.memory_bytes),
+            };
             sink.on_event(&SessionEvent::CandidateEvaluated(record.clone()));
             if let Some(objective) = record.objective {
                 if best.is_none_or(|b| direction.better(objective, b)) {
@@ -655,9 +706,7 @@ impl Session {
         // drift, close the epoch. The events land *inside* the wave —
         // before `WaveCompleted` — so the store's wave-atomic write
         // covers them and a torn tail drops them with the wave.
-        for event in self.drift_epilogue(start) {
-            sink.on_event(&event);
-        }
+        self.drift_epilogue(start, sink);
 
         let wave_stats = WaveStats {
             wave: wave_index,
@@ -669,20 +718,19 @@ impl Session {
         };
         self.waves.push(wave_stats);
         sink.on_event(&SessionEvent::WaveCompleted(wave_stats));
-        &self.history.records()[start..]
+        Ok(())
     }
 
-    /// The continuous-mode wave epilogue, shared verbatim by the live
-    /// and replay paths: feeds the detector one deployed-telemetry
-    /// sample per candidate of the wave starting at `start`, and on the
-    /// first confirmed verdict closes the epoch — resets the detector,
-    /// re-seeds the search ([`wf_search::SearchAlgorithm::begin_epoch`]),
-    /// and moves the deployed reference to the closed epoch's best.
-    /// Returns the events the live path must emit; replay discards them
-    /// (the store already holds them).
-    fn drift_epilogue(&mut self, start: usize) -> Vec<SessionEvent> {
+    /// The continuous-mode wave epilogue: feeds the detector one
+    /// deployed-telemetry sample per candidate of the wave starting at
+    /// `start`, and on the first confirmed verdict closes the epoch —
+    /// resets the detector, re-seeds the search
+    /// ([`wf_search::SearchAlgorithm::begin_epoch`]), moves the deployed
+    /// reference to the closed epoch's best, and emits
+    /// `DriftDetected`/`EpochStarted` through `sink`.
+    fn drift_epilogue(&mut self, start: usize, sink: &mut dyn EventSink) {
         if self.drift.is_none() {
-            return Vec::new();
+            return;
         }
         let seed = self.spec.seed;
         let detection = {
@@ -704,7 +752,7 @@ impl Session {
             detection
         };
         let Some(det) = detection else {
-            return Vec::new();
+            return;
         };
 
         // The closing epoch's best deployment becomes the telemetry
@@ -739,16 +787,16 @@ impl Session {
         };
         drift.close_epoch(next_start, reference);
         self.algorithm.begin_epoch(transfer);
+        sink.on_event(&detected);
         let drift = self.drift.as_ref().expect("checked above");
-        let started = SessionEvent::EpochStarted {
+        sink.on_event(&SessionEvent::EpochStarted {
             epoch: drift.epoch,
             first_iteration: next_start,
             at_s,
             transfer,
             phase: drift.config.schedule.phase_at(at_s).name.clone(),
             oracle_metric: drift.config.schedule.oracle_metric_at(at_s),
-        };
-        vec![detected, started]
+        });
     }
 
     /// Runs one wave and returns its last record (compatibility shim for
@@ -831,21 +879,23 @@ impl Session {
     /// Replays a persisted history into this freshly built session
     /// without re-evaluating a single candidate, leaving every piece of
     /// live state — search-algorithm model, session RNG, virtual clocks,
-    /// image cache, per-lane working trees, score-normalization bounds —
-    /// exactly as it stood when the original session finished its last
-    /// complete wave. `records` must be the stored records in iteration
-    /// order and `wave_sizes` the stored wave shapes covering them.
+    /// image cache, per-lane working trees, router state,
+    /// score-normalization bounds — exactly as it stood when the original
+    /// session finished its last complete wave. `records` must be the
+    /// stored records in iteration order and `wave_sizes` the stored wave
+    /// shapes covering them.
     ///
-    /// For every wave the session re-asks the algorithm
-    /// ([`wf_search::SearchAlgorithm::propose_batch`] is pure computation
-    /// — no build, boot, or benchmark runs) and cross-checks the proposed
-    /// candidates against the stored ones, so a store replayed against
-    /// the wrong target, seed, algorithm, or budget fails loudly with
-    /// [`ReplayError::ConfigMismatch`] instead of silently forking the
-    /// campaign. Cache and lane state are rebuilt from each record's
-    /// deterministic build metadata (the simulated build is re-derived
-    /// from the per-candidate RNG stream; measured outcomes and durations
-    /// come from the store).
+    /// Each stored wave runs through the live wave routine with a stored
+    /// source in place of the backend: the algorithm is re-asked
+    /// ([`wf_search::SearchAlgorithm::propose_batch`] is pure computation)
+    /// and its proposals are cross-checked against the stored candidates,
+    /// so a store replayed against the wrong target, seed, algorithm, or
+    /// budget fails loudly with [`ReplayError::ConfigMismatch`] instead of
+    /// silently forking the campaign. The source hands back the stored
+    /// outcomes and durations and re-runs only each candidate's build
+    /// (from its own RNG stream), so routing, cache and working-tree
+    /// updates, clocks and tells are the live code's. Nothing boots and
+    /// nothing is benchmarked.
     ///
     /// After a successful replay, continuing with
     /// [`Session::step_wave_with`] / [`Session::run_with`] produces the
@@ -865,196 +915,27 @@ impl Session {
                 covered,
             });
         }
-        let mut offset = 0;
-        for &n in wave_sizes {
-            self.replay_wave(&records[offset..offset + n])?;
-            offset += n;
-        }
-        Ok(())
-    }
-
-    /// Replays one stored wave: re-ask, verify, rebuild cache/lane state,
-    /// charge the stored durations, re-tell.
-    fn replay_wave(&mut self, stored: &[Record]) -> Result<(), ReplayError> {
-        let start = self.history.len();
-        let wave_index = self.waves.len();
-        let n = stored.len();
-        if n == 0 || n > self.workers() {
-            return Err(ReplayError::WaveTooWide {
-                wave: wave_index,
-                size: n,
-                workers: self.workers(),
-            });
-        }
         let space_len = self.target.space().len();
-        for r in stored {
-            if r.config.len() != space_len {
+        let mut offset = 0;
+        for (wave, &n) in wave_sizes.iter().enumerate() {
+            if n == 0 || n > self.workers() {
+                return Err(ReplayError::WaveTooWide {
+                    wave,
+                    size: n,
+                    workers: self.workers(),
+                });
+            }
+            let stored = &records[offset..offset + n];
+            if let Some(r) = stored.iter().find(|r| r.config.len() != space_len) {
                 return Err(ReplayError::SpaceMismatch {
                     iteration: r.iteration,
                     config_len: r.config.len(),
                     space_len,
                 });
             }
+            self.run_wave(n, Some(stored), &mut NullSink)?;
+            offset += n;
         }
-
-        // Epoch-local history, exactly as the live wave sliced it.
-        let epoch_start = self.drift.as_ref().map_or(0, |d| d.epoch_start);
-        let observations = &self.history.observations()[epoch_start..];
-        let direction = self.direction();
-
-        // Re-ask: advances the session RNG and the algorithm's internal
-        // proposal state exactly as the live wave did.
-        let configs = {
-            let ctx = SearchContext {
-                space: self.target.space(),
-                encoder: &self.encoder,
-                direction,
-                policy: &self.spec.policy,
-                history: observations,
-                iteration: start,
-            };
-            self.algorithm.propose_batch(n, &ctx, &mut self.rng)
-        };
-        assert_eq!(configs.len(), n, "propose_batch must return n candidates");
-        for (offset, (proposed, r)) in configs.iter().zip(stored).enumerate() {
-            if *proposed != r.config {
-                return Err(ReplayError::ConfigMismatch {
-                    iteration: start + offset,
-                });
-            }
-        }
-
-        // Re-run the router: lane assignment is a deterministic function
-        // of (strategy state, seed, wave index), so replay re-derives the
-        // same slot → lane map the live wave used — replay assumes an
-        // all-healthy fleet, which matches any failure-free live run (a
-        // transport failure is a host-level event outside the
-        // determinism contract; see `docs/DETERMINISM.md`).
-        let assigned = self.router.assign(n, self.spec.seed, wave_index as u64);
-
-        // Rebuild cache and lane state from deterministic build metadata,
-        // mirroring the live wave's two-phase cache protocol exactly:
-        // probe every fingerprint in candidate order, re-derive each
-        // build from the candidate's own RNG stream
-        // (`derive_seed(candidate, STREAM_BUILD)`), then publish the
-        // images in candidate order. No boot or benchmark runs and no
-        // shared stream shifts.
-        let (hits_before, misses_before) = self.cache.stats();
-        let reuses: Vec<_> = stored
-            .iter()
-            .map(|r| self.cache.get(self.target.image_fingerprint(&r.config)))
-            .collect();
-        // Builds see the *pre-wave* working trees (live items carry a
-        // snapshot taken at dispatch), and tree updates land afterwards
-        // in candidate order — so replay agrees with the live wave even
-        // when several slots share a lane.
-        let trees_in = self.lanes.clone();
-        let mut built_images: Vec<Option<wf_ossim::KernelImage>> = Vec::with_capacity(n);
-        for (j, r) in stored.iter().enumerate() {
-            let lane = assigned[j];
-            // The live wave fed the router each evaluation's virtual
-            // duration in candidate order; replay feeds the stored ones
-            // so post-resume routing decisions match.
-            self.router.observe(lane, r.duration_s);
-            if r.crash_phase == Some(Phase::Build) {
-                // The live evaluation probed the cache (a miss — a hit
-                // implies build_skipped, which cannot build-crash) and
-                // then crashed: no image, no lane update, but the probe
-                // is counted either way so cache stats replay too.
-                built_images.push(None);
-                continue;
-            }
-            let candidate_seed = derive_seed(self.spec.seed, (start + j) as u64);
-            let mut build_rng =
-                StdRng::seed_from_u64(derive_seed(candidate_seed, workers::STREAM_BUILD));
-            let (built, _build_s) = self.target.build(
-                &r.config,
-                reuses[j].as_ref(),
-                trees_in[lane].as_ref(),
-                &mut build_rng,
-            );
-            match built {
-                Ok(image) => {
-                    self.lanes[lane] = Some(r.config.clone());
-                    built_images.push(Some(image));
-                }
-                Err(_) => built_images.push(None),
-            }
-        }
-        for image in built_images.into_iter().flatten() {
-            self.cache.insert(image);
-        }
-        let (hits_after, misses_after) = self.cache.stats();
-
-        // Charge the clocks from the stored durations.
-        let busy_s: f64 = stored.iter().map(|r| r.duration_s).sum();
-        let wall_s = stored.iter().map(|r| r.duration_s).fold(0.0, f64::max);
-        self.clock.advance(wall_s);
-        self.compute.advance(busy_s);
-        let finished_at_s = self.clock.now_s();
-
-        // Rebuild the records. Objectives are recomputed through
-        // `objective_of` so the running Eq. 4 normalization bounds evolve
-        // exactly as they did live.
-        let mut records: Vec<Record> = Vec::with_capacity(n);
-        for (offset, r) in stored.iter().enumerate() {
-            let objective = match (r.metric, r.memory_mb) {
-                (Some(metric), Some(memory_mb)) => Some(Self::objective_of(
-                    self.spec.objective,
-                    &mut self.metric_bounds,
-                    &mut self.memory_bounds,
-                    metric,
-                    memory_mb,
-                )),
-                _ => None,
-            };
-            records.push(Record {
-                iteration: start + offset,
-                config: r.config.clone(),
-                objective,
-                metric: r.metric,
-                memory_mb: r.memory_mb,
-                crash_phase: r.crash_phase,
-                build_skipped: r.build_skipped,
-                duration_s: r.duration_s,
-                finished_at_s,
-                algo_seconds: r.algo_seconds,
-                algo_memory_bytes: r.algo_memory_bytes,
-            });
-        }
-
-        // Re-tell: rebuilds the algorithm's learned state.
-        let wave_obs: Vec<Observation> = records.iter().map(Record::observation).collect();
-        {
-            let ctx = SearchContext {
-                space: self.target.space(),
-                encoder: &self.encoder,
-                direction,
-                policy: &self.spec.policy,
-                history: observations,
-                iteration: start,
-            };
-            self.algorithm.observe_batch(&ctx, &wave_obs);
-        }
-        for record in records {
-            self.history.push(record);
-        }
-
-        // Re-run the continuous-mode epilogue: the telemetry scan is a
-        // pure function of (seed, stored durations, reference), so the
-        // same epoch boundaries re-close and the detector, algorithm,
-        // and reference end exactly where the live run left them. The
-        // events are discarded — the store already holds them.
-        let _ = self.drift_epilogue(start);
-
-        self.waves.push(WaveStats {
-            wave: wave_index,
-            size: n,
-            wall_s,
-            busy_s,
-            cache_hits: hits_after - hits_before,
-            cache_misses: misses_after - misses_before,
-        });
         Ok(())
     }
 
@@ -1154,6 +1035,77 @@ fn normalized(v: f64, (lo, hi): (f64, f64)) -> f64 {
         0.5
     } else {
         (v - lo) / (hi - lo)
+    }
+}
+
+/// Replay's evaluation source: hands back each stored record's outcome,
+/// cache flag and duration instead of evaluating the candidate. Only the
+/// build step re-runs — from the candidate's own build stream, with the
+/// item's cache probe and working tree — so [`dispatch_wave`] publishes
+/// the same images and advances the same working trees the live wave
+/// did. Nothing boots and nothing is benchmarked.
+struct StoredWave<'a> {
+    /// The stored records of the wave, in slot order.
+    records: &'a [Record],
+}
+
+impl EvalBackend for StoredWave<'_> {
+    fn label(&self) -> &'static str {
+        "stored"
+    }
+
+    fn run_items(
+        &mut self,
+        target: &Arc<dyn EvalTarget>,
+        session_seed: u64,
+        _repetitions: usize,
+        items: Vec<WorkItem>,
+    ) -> Vec<Result<WorkResult, LaneError>> {
+        items
+            .into_iter()
+            .map(|item| {
+                let stored = &self.records[item.slot];
+                // A stored build crash built nothing live either: no
+                // image to publish, no working tree to advance.
+                let image = if stored.crash_phase == Some(Phase::Build) {
+                    None
+                } else {
+                    build_candidate(
+                        target.as_ref(),
+                        &item.config,
+                        item.index,
+                        session_seed,
+                        item.reuse.as_ref(),
+                        item.working_tree.as_ref(),
+                    )
+                    .0
+                    .ok()
+                };
+                Ok(WorkResult {
+                    slot: item.slot,
+                    lane: item.lane,
+                    eval: CandidateEval {
+                        outcome: stored_outcome(stored),
+                        build_skipped: stored.build_skipped,
+                        duration_s: stored.duration_s,
+                    },
+                    image,
+                })
+            })
+            .collect()
+    }
+}
+
+/// The evaluation outcome a stored record was made from. A live wave
+/// records either a crash phase or a metric with its memory; a record
+/// with neither replays as a run-phase crash.
+fn stored_outcome(r: &Record) -> Result<BenchResult, CrashReport> {
+    match (r.crash_phase, r.metric, r.memory_mb) {
+        (None, Some(metric), Some(memory_mb)) => Ok(BenchResult { metric, memory_mb }),
+        (phase, ..) => Err(CrashReport {
+            phase: phase.unwrap_or(Phase::Run),
+            rule: String::new(),
+        }),
     }
 }
 
@@ -1445,6 +1397,128 @@ mod tests {
         assert_eq!(trace(&full), trace(&resumed));
     }
 
+    /// A unikraft compile-target session: image cache, working trees and
+    /// lane routing all shape build durations.
+    fn unikraft_session(
+        iters: usize,
+        seed: u64,
+        routing: RoutingStrategy,
+        objective: Objective,
+    ) -> Session {
+        Session::new(
+            SimOs::unikraft_nginx(),
+            wf_ossim::unikraft::nginx_app(),
+            Box::new(RandomSearch::new()),
+            SessionSpec {
+                objective,
+                budget: Budget {
+                    iterations: Some(iters),
+                    time_seconds: None,
+                },
+                seed,
+                workers: 3,
+                routing,
+                ..SessionSpec::default()
+            },
+        )
+    }
+
+    fn lane_trace(s: &Session) -> Vec<(u64, u64, u64, bool)> {
+        s.lane_stats()
+            .iter()
+            .map(|l| (l.ewma_s.to_bits(), l.samples, l.failures, l.healthy))
+            .collect()
+    }
+
+    #[test]
+    fn replay_then_continue_matches_under_every_routing_strategy() {
+        // Post-resume lane choice depends on the router state replay
+        // rebuilds (round-robin cursor, fastest's EWMAs), and lane choice
+        // decides which working tree a build starts from.
+        for routing in [
+            RoutingStrategy::RoundRobin,
+            RoutingStrategy::Random,
+            RoutingStrategy::Fastest,
+            RoutingStrategy::Preferred,
+        ] {
+            let make = || unikraft_session(14, 37, routing, Objective::Metric);
+            let mut full = make();
+            let full_summary = full.run();
+            for boundary in [1, 3] {
+                let mut interrupted = make();
+                for _ in 0..boundary {
+                    interrupted.step_wave();
+                }
+                let (stored, wave_sizes) = stored_prefix(&interrupted);
+                drop(interrupted);
+
+                let mut resumed = make();
+                resumed.replay(&stored, &wave_sizes).expect("replay");
+                let resumed_summary = resumed.run();
+                let at = format!("{routing:?} interrupted after wave {boundary}");
+                assert_eq!(trace(&full), trace(&resumed), "{at}");
+                assert_eq!(lane_trace(&full), lane_trace(&resumed), "{at}");
+                assert_eq!(
+                    full_summary.cache_stats, resumed_summary.cache_stats,
+                    "{at}"
+                );
+                assert_eq!(
+                    full_summary.elapsed_s.to_bits(),
+                    resumed_summary.elapsed_s.to_bits(),
+                    "{at}"
+                );
+            }
+        }
+    }
+
+    /// Replays `donor`'s whole history into `fresh` and requires every
+    /// record, the cache statistics and the wave log to come back bit for
+    /// bit — host-measured `algo_seconds` included.
+    fn assert_replay_reproduces(donor: &Session, mut fresh: Session) {
+        let (stored, wave_sizes) = stored_prefix(donor);
+        fresh.replay(&stored, &wave_sizes).expect("replay");
+        let replayed = fresh.history().records();
+        assert_eq!(replayed.len(), stored.len());
+        for (r, s) in replayed.iter().zip(&stored) {
+            assert_eq!(r.iteration, s.iteration);
+            assert_eq!(r.config, s.config);
+            assert_eq!(r.objective.map(f64::to_bits), s.objective.map(f64::to_bits));
+            assert_eq!(r.metric.map(f64::to_bits), s.metric.map(f64::to_bits));
+            assert_eq!(r.memory_mb.map(f64::to_bits), s.memory_mb.map(f64::to_bits));
+            assert_eq!(r.crash_phase, s.crash_phase);
+            assert_eq!(r.build_skipped, s.build_skipped);
+            assert_eq!(r.duration_s.to_bits(), s.duration_s.to_bits());
+            assert_eq!(r.finished_at_s.to_bits(), s.finished_at_s.to_bits());
+            assert_eq!(r.algo_seconds.to_bits(), s.algo_seconds.to_bits());
+            assert_eq!(r.algo_memory_bytes, s.algo_memory_bytes);
+        }
+        assert_eq!(fresh.summary().cache_stats, donor.summary().cache_stats);
+        assert_eq!(fresh.waves(), donor.waves());
+        assert_eq!(lane_trace(&fresh), lane_trace(donor));
+    }
+
+    #[test]
+    fn replay_reproduces_the_stored_records_field_for_field() {
+        // The Eq. 4 score exercises the running normalization bounds.
+        let make = || {
+            unikraft_session(
+                14,
+                43,
+                RoutingStrategy::Fastest,
+                Objective::ThroughputMemoryScore,
+            )
+        };
+        let mut donor = make();
+        let _ = donor.run();
+        assert_replay_reproduces(&donor, make());
+
+        // Continuous mode across an epoch boundary: drifted metrics.
+        let mut donor = drift_session(60, 11, 2);
+        let _ = donor.run();
+        assert!(donor.epoch() >= 1);
+        assert_replay_reproduces(&donor, drift_session(60, 11, 2));
+    }
+
     /// A continuous step-change session: shift early enough that a
     /// 60-iteration budget comfortably spans both phases.
     fn drift_session(iters: usize, seed: u64, workers: usize) -> Session {
@@ -1597,5 +1671,20 @@ mod tests {
             narrow.replay(&stored, &merged).unwrap_err(),
             ReplayError::WaveTooWide { .. }
         ));
+
+        // A stored configuration one parameter short of the space.
+        let mut short = stored.clone();
+        let space_len = short[2].config.len();
+        short[2].config =
+            Configuration::from_values(short[2].config.values()[..space_len - 1].to_vec());
+        let mut fresh = quick_session(6, 1);
+        assert_eq!(
+            fresh.replay(&short, &wave_sizes).unwrap_err(),
+            ReplayError::SpaceMismatch {
+                iteration: 2,
+                config_len: space_len - 1,
+                space_len,
+            }
+        );
     }
 }

@@ -36,10 +36,10 @@
 //!
 //! The connection closing (EOF) is the shutdown signal.
 
-use crate::backend::{EvalBackend, LaneError, WorkItem, WorkResult};
+use crate::backend::{run_one, EvalBackend, LaneError, WorkItem, WorkResult};
 use crate::store::{config_from_json, config_json, phase_from_str, phase_str, JsonValue};
 use crate::target::EvalTarget;
-use crate::workers::{evaluate_candidate, CandidateEval};
+use crate::workers::CandidateEval;
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -314,22 +314,7 @@ pub fn serve(mut stream: UnixStream, lane: usize, target: &dyn EvalTarget) -> io
                 }
             },
         };
-        let mut tree = item.working_tree.clone();
-        let (eval, image) = evaluate_candidate(
-            target,
-            &item.config,
-            item.index,
-            session_seed,
-            repetitions,
-            item.reuse.as_ref(),
-            &mut tree,
-        );
-        let result = WorkResult {
-            slot: item.slot,
-            lane: item.lane,
-            eval,
-            image,
-        };
+        let result = run_one(target, session_seed, repetitions, item);
         write_frame(&mut stream, &result_json(&result))?;
     }
     Ok(())

@@ -472,56 +472,123 @@ mod tests {
         r.assign(1, 1, 0);
     }
 
-    #[test]
-    fn dispatch_wave_matches_the_legacy_pool_bit_for_bit() {
-        // The routed dispatch over either backend must reproduce the
-        // legacy Pool::run_wave results exactly (identity lane
-        // assignment under default round-robin on full-width waves).
-        let target = arc_target();
-        let mut rng = StdRng::seed_from_u64(5);
-        let candidates: Vec<Configuration> =
-            (0..4).map(|_| target.space().sample(&mut rng)).collect();
+    fn sample_candidates(target: &Arc<dyn EvalTarget>, n: usize, seed: u64) -> Vec<Configuration> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..n).map(|_| target.space().sample(&mut rng)).collect()
+    }
 
-        let legacy_cache = SharedImageCache::new(8);
-        let pool = crate::workers::Pool::new(4);
-        let mut legacy_lanes = [None, None, None, None];
-        let legacy = pool.run_wave(
-            target.as_ref(),
+    fn assert_same_evals(a: &[CandidateEval], b: &[CandidateEval]) {
+        assert_eq!(a.len(), b.len());
+        for (x, y) in a.iter().zip(b) {
+            assert_eq!(x.duration_s.to_bits(), y.duration_s.to_bits());
+            match (&x.outcome, &y.outcome) {
+                (Ok(m), Ok(n)) => assert_eq!(m, n),
+                (Err(m), Err(n)) => assert_eq!(m.phase, n.phase),
+                _ => panic!("outcome kind differs"),
+            }
+        }
+    }
+
+    #[test]
+    fn wave_results_do_not_depend_on_router_width() {
+        // The same four candidates as four one-slot waves through a
+        // 1-lane router and as one four-slot wave through a 4-lane router
+        // must produce identical outcomes and durations on a runtime
+        // target: every virtual-cost draw derives from (seed, index).
+        // (Only `build_skipped` may differ: the narrow run's later waves
+        // hit the image the first one published.)
+        let target = arc_target();
+        let candidates = sample_candidates(&target, 4, 3);
+
+        let mut narrow_backend = InProcessBackend::new(1);
+        let mut narrow_router = Router::new(RoutingStrategy::RoundRobin, 1);
+        let narrow_cache = SharedImageCache::new(8);
+        let mut narrow_trees = vec![None];
+        let mut narrow = Vec::new();
+        for (i, config) in candidates.iter().enumerate() {
+            narrow.extend(dispatch_wave(
+                &mut narrow_backend,
+                &mut narrow_router,
+                &target,
+                std::slice::from_ref(config),
+                i,
+                42,
+                i as u64,
+                2,
+                &narrow_cache,
+                &mut narrow_trees,
+            ));
+        }
+
+        let mut wide_backend = InProcessBackend::new(4);
+        let mut wide_router = Router::new(RoutingStrategy::RoundRobin, 4);
+        let wide_cache = SharedImageCache::new(8);
+        let mut wide_trees = vec![None; 4];
+        let wide = dispatch_wave(
+            &mut wide_backend,
+            &mut wide_router,
+            &target,
             &candidates,
             0,
             42,
+            0,
             2,
-            &legacy_cache,
-            &mut legacy_lanes,
+            &wide_cache,
+            &mut wide_trees,
         );
+        assert_same_evals(&narrow, &wide);
+    }
 
-        for make in [
-            || Box::new(SpawnBackend::new()) as Box<dyn EvalBackend>,
-            || Box::new(InProcessBackend::new(4)) as Box<dyn EvalBackend>,
-        ] {
-            let mut backend = make();
+    #[test]
+    fn spawn_and_in_process_dispatch_agree_bit_for_bit() {
+        // Routed dispatch over either backend must agree on durations,
+        // build_skipped and working trees. A compile target with a second
+        // wave re-running the first wave's candidates (reversed, so lanes
+        // rebuild against other lanes' trees) exercises cache hits and
+        // incremental rebuilds.
+        let target: Arc<dyn EvalTarget> = Arc::new(SimTarget::new(
+            SimOs::unikraft_nginx(),
+            wf_ossim::unikraft::nginx_app(),
+        ));
+        let first = sample_candidates(&target, 4, 5);
+        let second: Vec<Configuration> = first.iter().rev().cloned().collect();
+        let run = |backend: &mut dyn EvalBackend| {
             let mut router = Router::new(RoutingStrategy::RoundRobin, 4);
             let cache = SharedImageCache::new(8);
-            let mut trees = vec![None, None, None, None];
-            let routed = dispatch_wave(
-                backend.as_mut(),
-                &mut router,
-                &target,
-                &candidates,
-                0,
-                42,
-                0,
-                2,
-                &cache,
-                &mut trees,
-            );
-            assert_eq!(routed.len(), legacy.len());
-            for (a, b) in routed.iter().zip(legacy.iter()) {
-                assert_eq!(a.duration_s.to_bits(), b.duration_s.to_bits());
-                assert_eq!(a.build_skipped, b.build_skipped);
+            let mut trees = vec![None; 4];
+            let mut waves = Vec::new();
+            for (wave, candidates) in [&first, &second].into_iter().enumerate() {
+                let evals = dispatch_wave(
+                    backend,
+                    &mut router,
+                    &target,
+                    candidates,
+                    4 * wave,
+                    42,
+                    wave as u64,
+                    2,
+                    &cache,
+                    &mut trees,
+                );
+                waves.push((evals, trees.clone()));
             }
-            assert_eq!(&trees[..], &legacy_lanes[..], "working trees agree");
+            (waves, cache.stats())
+        };
+        let (spawn, spawn_cache) = run(&mut SpawnBackend::new());
+        let (pooled, pooled_cache) = run(&mut InProcessBackend::new(4));
+        for ((a, a_trees), (b, b_trees)) in spawn.iter().zip(&pooled) {
+            assert_same_evals(a, b);
+            let skipped = |evals: &[CandidateEval]| -> Vec<bool> {
+                evals.iter().map(|e| e.build_skipped).collect()
+            };
+            assert_eq!(skipped(a), skipped(b));
+            assert_eq!(a_trees, b_trees, "working trees agree");
         }
+        assert_eq!(spawn_cache, pooled_cache);
+        assert!(
+            spawn[1].0.iter().any(|e| e.build_skipped),
+            "the repeated wave hits the cache"
+        );
     }
 
     /// A backend whose lane 0 fails transport-level on every submission:

@@ -165,13 +165,6 @@ fn main() -> ExitCode {
             args.min_speedup
         );
     }
-    if let Some(speedup) = comparison.pool_speedup {
-        println!(
-            "dispatch @8 workers: persistent pool is x{speedup:.2} vs per-wave spawn \
-             (required: x{:.1})",
-            perf::POOL_MIN_SPEEDUP
-        );
-    }
     if let Some(speedup) = comparison.ei_speedup {
         println!(
             "bayes pool EI @800: batched scorer is x{speedup:.1} vs the per-candidate loop \

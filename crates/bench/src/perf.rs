@@ -123,7 +123,6 @@ pub fn declared_ops() -> Vec<(String, u64)> {
     for w in POOL_WIDTHS {
         ops.push(("platform/wave_dispatch".to_string(), w as u64));
     }
-    ops.push(("platform/dispatch_spawn".to_string(), WAVE as u64));
     ops.push(("platform/dispatch_pool".to_string(), WAVE as u64));
     ops.push(("platform/routing_assign".to_string(), WAVE as u64));
     ops.push(("lint/scan_workspace".to_string(), LINT_FILES as u64));
@@ -687,15 +686,14 @@ pub fn run_suite(quick: bool) -> Vec<OpResult> {
         );
     }
 
-    // --- Persistent pool vs per-wave spawn at full width (the backend
-    // tentpole's acceptance bar: reusing channel-fed workers must not
-    // lose to spawning a fresh thread set every wave — 48 iterations is
-    // 6 waves, i.e. 48 spawns on the legacy path vs 8 on the pool). ----
-    for (op, backend) in [
-        ("platform/dispatch_spawn", BackendChoice::Spawn),
-        ("platform/dispatch_pool", BackendChoice::InProcess),
-    ] {
-        bench_op(&mut results, spawn_samples(), op, WAVE as u64, |b| {
+    // --- Persistent pool at full width: 48 iterations is 6 waves of 8
+    // items, all on the same 8 channel-fed worker threads. --------------
+    bench_op(
+        &mut results,
+        spawn_samples(),
+        "platform/dispatch_pool",
+        WAVE as u64,
+        |b| {
             b.iter_batched(
                 || {
                     Session::new(
@@ -709,7 +707,7 @@ pub fn run_suite(quick: bool) -> Vec<OpResult> {
                             },
                             seed: SEED,
                             workers: WAVE,
-                            backend,
+                            backend: BackendChoice::InProcess,
                             ..SessionSpec::default()
                         },
                     )
@@ -717,8 +715,8 @@ pub fn run_suite(quick: bool) -> Vec<OpResult> {
                 |mut session| black_box(session.run()),
                 criterion::BatchSize::LargeInput,
             )
-        });
-    }
+        },
+    );
 
     // --- Raw routing overhead: 64 full-width assign/observe rounds on
     // the EWMA-heaviest strategy, isolating the router from evaluation
@@ -1130,11 +1128,9 @@ pub fn stale_ops_in(declared: &[(String, u64)], results: &[OpResult]) -> Vec<(St
 /// When both bayes observe+propose variants are present in `new`, the
 /// incremental path must be at least `min_speedup`× faster than the full
 /// path — the tentpole's ≥2x acceptance bar, enforced on every run.
-/// Likewise, when both dispatch-backend ops are present, the persistent
-/// in-process pool must not lose to per-wave thread spawning
-/// ([`POOL_MIN_SPEEDUP`]), and when both pool-EI scoring variants are
-/// present, the batched matrix-level scorer must beat the per-candidate
-/// loop by at least [`EI_MIN_SPEEDUP`].
+/// Likewise, when both pool-EI scoring variants are present, the batched
+/// matrix-level scorer must beat the per-candidate loop by at least
+/// [`EI_MIN_SPEEDUP`].
 pub struct Comparison {
     /// Human-readable per-op lines.
     pub lines: Vec<String>,
@@ -1142,18 +1138,9 @@ pub struct Comparison {
     pub regressions: Vec<String>,
     /// The measured bayes full/incremental speedup, if both ops present.
     pub bayes_speedup: Option<f64>,
-    /// The measured spawn/pool dispatch speedup, if both ops present.
-    pub pool_speedup: Option<f64>,
     /// The measured scalar/batched pool-EI speedup, if both ops present.
     pub ei_speedup: Option<f64>,
 }
-
-/// The dispatch gate's bar: `platform/dispatch_pool` must run a full
-/// session at least this much faster than `platform/dispatch_spawn`
-/// (1.0 = "the persistent pool never loses to per-wave spawning";
-/// compared on per-run minimums, which spawning's extra syscalls can
-/// only push up).
-pub const POOL_MIN_SPEEDUP: f64 = 1.0;
 
 /// The batched-EI gate's bar: `search/bayes/propose_pool` must beat
 /// `search/bayes/propose_pool_scalar` by at least this factor at history
@@ -1238,22 +1225,6 @@ pub fn compare(
         }
     }
 
-    let pool_speedup = match (
-        find(new, "platform/dispatch_spawn", WAVE as u64),
-        find(new, "platform/dispatch_pool", WAVE as u64),
-    ) {
-        (Some(spawn), Some(pool)) => Some(spawn.min_ns_per_iter / pool.min_ns_per_iter.max(1e-3)),
-        _ => None,
-    };
-    if let Some(speedup) = pool_speedup {
-        if speedup < POOL_MIN_SPEEDUP {
-            regressions.push(format!(
-                "persistent-pool dispatch speedup x{speedup:.2} < required x{POOL_MIN_SPEEDUP:.1} \
-                 (the in-process pool lost to per-wave thread spawning)"
-            ));
-        }
-    }
-
     let ei_speedup = match (
         find(new, "search/bayes/propose_pool_scalar", 800),
         find(new, "search/bayes/propose_pool", 800),
@@ -1276,7 +1247,6 @@ pub fn compare(
         lines,
         regressions,
         bayes_speedup,
-        pool_speedup,
         ei_speedup,
     })
 }
@@ -1403,29 +1373,6 @@ mod tests {
         let base = vec![op("calibrate/spin", 0, 1000.0), op("tiny/op", 1, 40.0)];
         let new = vec![op("calibrate/spin", 0, 1000.0), op("tiny/op", 1, 400.0)];
         let c = compare(&base, &new, 0.35, 1000.0, 2.0, "BENCH_search.json").expect("compare");
-        assert!(c.regressions.is_empty(), "{:?}", c.regressions);
-    }
-
-    #[test]
-    fn compare_enforces_the_pool_dispatch_bar() {
-        let base = vec![op("calibrate/spin", 0, 1000.0)];
-        // Pool slower than spawn: gated.
-        let new = vec![
-            op("calibrate/spin", 0, 1000.0),
-            op("platform/dispatch_spawn", 8, 800_000.0),
-            op("platform/dispatch_pool", 8, 900_000.0),
-        ];
-        let c = compare(&base, &new, 0.35, 1000.0, 2.0, "BENCH_search.json").expect("compare");
-        assert!(c.pool_speedup.unwrap() < 1.0);
-        assert_eq!(c.regressions.len(), 1, "{:?}", c.regressions);
-        // Pool at least as fast: passes.
-        let new = vec![
-            op("calibrate/spin", 0, 1000.0),
-            op("platform/dispatch_spawn", 8, 900_000.0),
-            op("platform/dispatch_pool", 8, 800_000.0),
-        ];
-        let c = compare(&base, &new, 0.35, 1000.0, 2.0, "BENCH_search.json").expect("compare");
-        assert_eq!(c.pool_speedup, Some(900.0 / 800.0));
         assert!(c.regressions.is_empty(), "{:?}", c.regressions);
     }
 

@@ -103,9 +103,6 @@ impl Focus {
 /// Where candidate evaluations execute (the platform's `EvalBackend`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum BackendChoice {
-    /// Legacy per-wave scoped-thread spawning (kept as the benchmark
-    /// baseline the persistent pools are measured against).
-    Spawn,
     /// Persistent in-process worker threads with channel-fed queues.
     #[default]
     InProcess,
@@ -117,7 +114,6 @@ impl BackendChoice {
     /// The job-file keyword.
     pub fn keyword(self) -> &'static str {
         match self {
-            BackendChoice::Spawn => "spawn",
             BackendChoice::InProcess => "in-process",
             BackendChoice::Remote => "remote",
         }
@@ -126,7 +122,6 @@ impl BackendChoice {
     /// Parses a job-file keyword (used by both the schema and CLI flags).
     pub fn parse_keyword(s: &str) -> Option<BackendChoice> {
         match s {
-            "spawn" => Some(BackendChoice::Spawn),
             "in-process" | "inprocess" | "in_process" => Some(BackendChoice::InProcess),
             "remote" => Some(BackendChoice::Remote),
             _ => None,
@@ -387,8 +382,8 @@ pub struct Job {
     /// VM workers evaluating candidates in parallel (`None` = the
     /// platform default: `WF_WORKERS` from the environment, else 1).
     pub workers: Option<usize>,
-    /// Evaluation backend: persistent in-process threads (default),
-    /// remote `wf-evald` workers, or the legacy per-wave spawn path.
+    /// Evaluation backend: persistent in-process threads (default) or
+    /// remote `wf-evald` workers.
     pub backend: BackendChoice,
     /// Lane-routing strategy for the platform's router.
     pub routing: RoutingStrategy,
@@ -568,7 +563,7 @@ impl Job {
                     job.backend = BackendChoice::parse_keyword(&raw).ok_or_else(|| {
                         err(
                             "backend",
-                            format!("unknown {raw:?} (expected spawn | in-process | remote)"),
+                            format!("unknown {raw:?} (expected in-process | remote)"),
                         )
                     })?
                 }
@@ -1183,9 +1178,13 @@ params:
         assert_eq!(job.backend, BackendChoice::Remote);
         assert_eq!(job.routing, RoutingStrategy::Fastest);
 
-        let job = Job::parse("name: x\nbackend: spawn\nrouting: preferred\n").unwrap();
-        assert_eq!(job.backend, BackendChoice::Spawn);
+        let job = Job::parse("name: x\nbackend: in-process\nrouting: preferred\n").unwrap();
+        assert_eq!(job.backend, BackendChoice::InProcess);
         assert_eq!(job.routing, RoutingStrategy::Preferred);
+
+        // `spawn` is not a backend; the error names the field.
+        let e = Job::parse("name: x\nbackend: spawn\n").unwrap_err();
+        assert_eq!(e.field, "backend");
 
         assert!(Job::parse("name: x\nbackend: cloud\n").is_err());
         assert!(Job::parse("name: x\nrouting: slowest\n").is_err());

@@ -1,12 +1,9 @@
 //! Persistent evaluation backends: where a wave's candidates execute.
 //!
-//! The pipeline used to spawn a fresh scoped thread per candidate per
-//! wave. At µs-scale simulated evaluations that spawn/join cost dominates
-//! (ROADMAP item 1: ~2× the 1-worker host time at 8 workers), so the
-//! dispatch layer is now a trait with three implementations:
+//! The dispatch layer is a trait with two implementations, both with
+//! long-lived workers (at µs-scale simulated evaluations, a thread
+//! spawn/join per candidate per wave would dominate the wave):
 //!
-//! * [`SpawnBackend`] — the legacy per-wave scoped-thread body, kept as
-//!   the benchmark baseline (`wf-bench`'s `platform/dispatch_spawn`);
 //! * [`InProcessBackend`] — long-lived worker threads fed through
 //!   channels, spawned once and reused across every wave (the default);
 //! * [`crate::remote::RemoteBackend`] — workers behind a process/socket
@@ -46,7 +43,6 @@
 
 use crate::target::EvalTarget;
 use crate::workers::{evaluate_candidate, CandidateEval};
-use crossbeam::thread;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{mpsc, Arc};
 use wf_configspace::Configuration;
@@ -132,8 +128,7 @@ pub struct LaneError {
 /// * the shared image cache is never touched — probe answers arrive in
 ///   items, built images leave in results.
 pub trait EvalBackend: Send {
-    /// Short label for logs and benches (`"spawn"`, `"in-process"`,
-    /// `"remote"`).
+    /// Short label for logs and benches (`"in-process"`, `"remote"`).
     fn label(&self) -> &'static str;
 
     /// Evaluates a batch of items and returns one result per item.
@@ -168,81 +163,6 @@ pub(crate) fn run_one(
         lane: item.lane,
         eval,
         image,
-    }
-}
-
-/// The legacy dispatch path: a fresh crossbeam scoped thread per item,
-/// per wave. Functionally identical to [`InProcessBackend`] — it exists
-/// so `wfctl bench` can measure exactly what persistent pools buy
-/// (`platform/dispatch_spawn` vs `platform/dispatch_pool`).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct SpawnBackend;
-
-impl SpawnBackend {
-    /// Creates the spawn backend (stateless).
-    pub fn new() -> SpawnBackend {
-        SpawnBackend
-    }
-}
-
-impl EvalBackend for SpawnBackend {
-    fn label(&self) -> &'static str {
-        "spawn"
-    }
-
-    fn run_items(
-        &mut self,
-        target: &Arc<dyn EvalTarget>,
-        session_seed: u64,
-        repetitions: usize,
-        items: Vec<WorkItem>,
-    ) -> Vec<Result<WorkResult, LaneError>> {
-        if items.len() <= 1 {
-            return items
-                .into_iter()
-                .map(|item| Ok(run_one(target.as_ref(), session_seed, repetitions, item)))
-                .collect();
-        }
-        let slots: Vec<usize> = items.iter().map(|item| item.slot).collect();
-        thread::scope(|scope| {
-            let handles: Vec<_> = items
-                .into_iter()
-                .map(|item| {
-                    let target = Arc::clone(target);
-                    scope.spawn(move |_| run_one(target.as_ref(), session_seed, repetitions, item))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .zip(&slots)
-                .enumerate()
-                .map(|(lane, (handle, &slot))| {
-                    // A panicking evaluation becomes this item's LaneError
-                    // (the router reroutes it); it must not take down the
-                    // session thread.
-                    handle.join().map_err(|_| LaneError {
-                        slot,
-                        lane,
-                        message: "worker thread panicked".to_string(),
-                    })
-                })
-                .collect()
-        })
-        .unwrap_or_else(|_| {
-            // Unreachable in practice — every handle above was joined —
-            // but a scope failure must still yield one result per item.
-            slots
-                .iter()
-                .enumerate()
-                .map(|(lane, &slot)| {
-                    Err(LaneError {
-                        slot,
-                        lane,
-                        message: "worker scope panicked".to_string(),
-                    })
-                })
-                .collect()
-        })
     }
 }
 
@@ -448,26 +368,6 @@ mod tests {
         let mut ok: Vec<WorkResult> = results.drain(..).map(|r| r.expect("ok")).collect();
         ok.sort_by_key(|w| w.slot);
         ok
-    }
-
-    #[test]
-    fn spawn_and_pool_backends_agree_bit_for_bit() {
-        let target = arc_target();
-        let items = wave(&target, 6, 9);
-        let mut spawn = SpawnBackend::new();
-        let mut pool = InProcessBackend::new(6);
-        let a = sort_by_slot(spawn.run_items(&target, 77, 2, items.clone()));
-        let b = sort_by_slot(pool.run_items(&target, 77, 2, items));
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(b.iter()) {
-            assert_eq!(x.slot, y.slot);
-            assert_eq!(x.eval.duration_s.to_bits(), y.eval.duration_s.to_bits());
-            match (&x.eval.outcome, &y.eval.outcome) {
-                (Ok(m), Ok(n)) => assert_eq!(m, n),
-                (Err(m), Err(n)) => assert_eq!(m.phase, n.phase),
-                _ => panic!("outcome kind differs between backends"),
-            }
-        }
     }
 
     #[test]

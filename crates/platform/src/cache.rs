@@ -198,10 +198,10 @@ mod tests {
         const LOOKUPS: u64 = 400;
         const CAPACITY: usize = 16;
         let cache = SharedImageCache::new(CAPACITY);
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for t in 0..THREADS {
                 let cache = &cache;
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     for i in 0..LOOKUPS {
                         // Interleave thread-local and shared fingerprints
                         // so hits, misses, inserts, and evictions all race.
@@ -212,8 +212,7 @@ mod tests {
                     }
                 });
             }
-        })
-        .expect("crossbeam scope");
+        });
         let (hits, misses) = cache.stats();
         assert_eq!(hits + misses, THREADS * LOOKUPS, "lost or doubled lookups");
         assert!(misses > 0, "cold lookups must miss");

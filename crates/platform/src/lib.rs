@@ -7,10 +7,9 @@
 //! * [`cache`] — the kernel-image cache behind §3.1's rebuild-skip, and
 //!   its lock-shared multi-worker form;
 //! * [`workers`] — per-candidate evaluation ([`workers::evaluate_candidate`])
-//!   and crossbeam-parallel benchmark repetitions;
+//!   with benchmark repetitions run one after the other;
 //! * [`backend`] — the [`backend::EvalBackend`] trait and its persistent
-//!   [`backend::InProcessBackend`] / legacy [`backend::SpawnBackend`]
-//!   implementations (where waves execute);
+//!   [`backend::InProcessBackend`] implementation (where waves execute);
 //! * [`remote`] — [`remote::RemoteBackend`]: workers behind a
 //!   process/socket boundary speaking the length-prefixed `wf-evald`
 //!   protocol;
@@ -62,7 +61,7 @@ pub mod sync;
 pub mod target;
 pub mod workers;
 
-pub use backend::{EvalBackend, InProcessBackend, LaneError, SpawnBackend, WorkItem, WorkResult};
+pub use backend::{EvalBackend, InProcessBackend, LaneError, WorkItem, WorkResult};
 pub use cache::{ImageCache, SharedImageCache};
 pub use clock::VirtualClock;
 pub use daemon::{

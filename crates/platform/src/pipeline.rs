@@ -55,9 +55,7 @@
 //!   function of (seed, candidate order), which is what makes stores
 //!   replayable bit-for-bit.
 
-use crate::backend::{
-    EvalBackend, InProcessBackend, LaneError, SpawnBackend, WorkItem, WorkResult,
-};
+use crate::backend::{EvalBackend, InProcessBackend, LaneError, WorkItem, WorkResult};
 use crate::cache::SharedImageCache;
 use crate::clock::VirtualClock;
 use crate::epoch::{DriftConfig, DriftState};
@@ -338,7 +336,6 @@ impl Session {
     ) -> Result<Self, String> {
         let workers = spec.workers.max(1);
         let backend: Box<dyn EvalBackend> = match spec.backend {
-            BackendChoice::Spawn => Box::new(SpawnBackend::new()),
             BackendChoice::InProcess => Box::new(InProcessBackend::new(workers)),
             BackendChoice::Remote => {
                 let remote = spec.remote.as_ref().ok_or_else(|| {

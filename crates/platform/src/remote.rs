@@ -285,7 +285,8 @@ pub fn serve(mut stream: UnixStream, lane: usize, target: &dyn EvalTarget) -> io
         let repetitions = frame
             .get("reps")
             .and_then(JsonValue::as_usize)
-            .ok_or_else(|| bad("eval without reps"))?;
+            .filter(|&reps| reps >= 1)
+            .ok_or_else(|| bad("eval without reps >= 1"))?;
         let item = WorkItem {
             slot: frame
                 .get("slot")
@@ -623,7 +624,7 @@ impl Drop for RemoteBackend {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::backend::InProcessBackend;
     use crate::target::SimTarget;
@@ -640,15 +641,15 @@ mod tests {
     }
 
     /// A remote backend whose workers are in-process threads running the
-    /// real [`serve`] loop over socketpairs — full protocol bytes, no
-    /// process spawn.
-    pub(crate) fn threaded_remote(workers: usize) -> RemoteBackend {
+    /// real [`serve`] loop over socketpairs against `target` — full
+    /// protocol bytes, no process spawn.
+    pub(crate) fn threaded_remote(workers: usize, target: &Arc<dyn EvalTarget>) -> RemoteBackend {
         let mut streams = Vec::with_capacity(workers);
         for lane in 0..workers {
             let (client, server) = UnixStream::pair().expect("socketpair");
+            let target = Arc::clone(target);
             std::thread::spawn(move || {
-                let target = sim_target();
-                let _ = serve(server, lane, &target);
+                let _ = serve(server, lane, target.as_ref());
             });
             streams.push(client);
         }
@@ -663,7 +664,7 @@ mod tests {
             .map(|j| WorkItem::new(j, j, j % 3, target.space().sample(&mut rng)))
             .collect();
         let mut local = InProcessBackend::new(3);
-        let mut remote = threaded_remote(3);
+        let mut remote = threaded_remote(3, &target);
         let mut a: Vec<WorkResult> = local
             .run_items(&target, 77, 2, items.clone())
             .into_iter()
@@ -735,6 +736,20 @@ mod tests {
             .collect();
         assert_eq!(ok.len(), 2, "lane 0's items still complete");
         assert_eq!(failed, vec![(1, 1), (3, 1)], "lane 1's items fail");
+    }
+
+    #[test]
+    fn an_eval_frame_with_zero_reps_is_rejected_not_panicked_on() {
+        let target = sim_target();
+        let (mut client, server) = UnixStream::pair().expect("socketpair");
+        let item = WorkItem::new(0, 0, 0, target.space().default_config());
+        write_frame(&mut client, &request_json(7, 0, &item)).unwrap();
+        // Half-close: the worker can still write its hello, then reads the
+        // one frame and EOF.
+        client.shutdown(std::net::Shutdown::Write).unwrap();
+        let err = serve(server, 0, &target).expect_err("reps 0 is malformed");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("reps"), "{err}");
     }
 
     #[test]

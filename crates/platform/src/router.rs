@@ -367,7 +367,8 @@ pub fn dispatch_wave(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{InProcessBackend, LaneError, SpawnBackend};
+    use crate::backend::{InProcessBackend, LaneError};
+    use crate::remote::tests::threaded_remote;
     use crate::target::SimTarget;
     use wf_kconfig::LinuxVersion;
     use wf_ossim::{App, AppId, SimOs};
@@ -540,12 +541,12 @@ mod tests {
     }
 
     #[test]
-    fn spawn_and_in_process_dispatch_agree_bit_for_bit() {
-        // Routed dispatch over either backend must agree on durations,
-        // build_skipped and working trees. A compile target with a second
-        // wave re-running the first wave's candidates (reversed, so lanes
-        // rebuild against other lanes' trees) exercises cache hits and
-        // incremental rebuilds.
+    fn in_process_and_remote_dispatch_agree_bit_for_bit() {
+        // Routed dispatch in-process and across the wire protocol must
+        // agree on durations, build_skipped and working trees. A compile
+        // target with a second wave re-running the first wave's
+        // candidates (reversed, so lanes rebuild against other lanes'
+        // trees) exercises cache hits and incremental rebuilds.
         let target: Arc<dyn EvalTarget> = Arc::new(SimTarget::new(
             SimOs::unikraft_nginx(),
             wf_ossim::unikraft::nginx_app(),
@@ -574,9 +575,9 @@ mod tests {
             }
             (waves, cache.stats())
         };
-        let (spawn, spawn_cache) = run(&mut SpawnBackend::new());
         let (pooled, pooled_cache) = run(&mut InProcessBackend::new(4));
-        for ((a, a_trees), (b, b_trees)) in spawn.iter().zip(&pooled) {
+        let (remote, remote_cache) = run(&mut threaded_remote(4, &target));
+        for ((a, a_trees), (b, b_trees)) in pooled.iter().zip(&remote) {
             assert_same_evals(a, b);
             let skipped = |evals: &[CandidateEval]| -> Vec<bool> {
                 evals.iter().map(|e| e.build_skipped).collect()
@@ -584,9 +585,9 @@ mod tests {
             assert_eq!(skipped(a), skipped(b));
             assert_eq!(a_trees, b_trees, "working trees agree");
         }
-        assert_eq!(spawn_cache, pooled_cache);
+        assert_eq!(pooled_cache, remote_cache);
         assert!(
-            spawn[1].0.iter().any(|e| e.build_skipped),
+            pooled[1].0.iter().any(|e| e.build_skipped),
             "the repeated wave hits the cache"
         );
     }

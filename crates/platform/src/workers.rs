@@ -11,8 +11,8 @@
 //! dispatcher ([`crate::router::dispatch_wave`]) probes it sequentially
 //! before dispatch and publishes sequentially after — so cache effects
 //! are deterministic too.
-//! Benchmark repetitions run concurrently, but their durations are
-//! charged *sequentially* to the candidate ("all test configurations are
+//! Benchmark repetitions run one after the other and their durations are
+//! charged sequentially to the candidate ("all test configurations are
 //! benchmarked one after the other" — experiments are never co-located).
 //!
 //! # Examples
@@ -43,7 +43,6 @@
 //! ```
 
 use crate::target::EvalTarget;
-use crossbeam::thread;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use wf_configspace::Configuration;
@@ -84,11 +83,12 @@ pub(crate) const STREAM_DRIFT: u64 = 3;
 /// candidate itself crashed or hit the image cache.
 pub(crate) const STREAM_SIGNAL: u64 = 4;
 
-/// Runs `reps` benchmark repetitions, one model draw each.
+/// Runs `reps` benchmark repetitions, one model draw each, one after the
+/// other on the calling thread.
 ///
 /// Returns per-repetition outcomes in repetition order. Repetition `i`
-/// draws from `derive_seed(seed, i)` regardless of how many repetitions
-/// run or whether they run on threads.
+/// draws from `derive_seed(seed, i)`, so its outcome does not depend on
+/// how many repetitions run.
 pub fn run_repetitions(
     target: &dyn EvalTarget,
     image: &KernelImage,
@@ -97,25 +97,12 @@ pub fn run_repetitions(
     seed: u64,
 ) -> Vec<(Result<BenchResult, CrashReport>, f64)> {
     assert!(reps >= 1, "need at least one repetition");
-    if reps == 1 {
-        let mut rng = StdRng::seed_from_u64(derive_seed(seed, 0));
-        return vec![target.bench(image, config, &mut rng)];
-    }
-    thread::scope(|scope| {
-        let handles: Vec<_> = (0..reps)
-            .map(|i| {
-                scope.spawn(move |_| {
-                    let mut rng = StdRng::seed_from_u64(derive_seed(seed, i as u64));
-                    target.bench(image, config, &mut rng)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("benchmark repetition panicked"))
-            .collect()
-    })
-    .expect("crossbeam scope")
+    (0..reps as u64)
+        .map(|i| {
+            let mut rng = StdRng::seed_from_u64(derive_seed(seed, i));
+            target.bench(image, config, &mut rng)
+        })
+        .collect()
 }
 
 /// Aggregates repetition outcomes: mean metric and memory over successful
@@ -327,14 +314,14 @@ mod tests {
     }
 
     #[test]
-    fn parallel_and_sequential_agree() {
+    fn repetition_outcomes_do_not_depend_on_the_repetition_count() {
         let target = sim_target(AppId::Nginx);
         let cfg = target.space().default_config();
         let mut rng = StdRng::seed_from_u64(2);
         let (img, _) = target.build(&cfg, None, None, &mut rng);
         let img = img.unwrap();
-        // reps=1 path (sequential) vs reps>1 path (threads) with the same
-        // derived seed must produce the same first-repetition result.
+        // Repetition 0 draws from the same derived seed whether one or
+        // three repetitions run.
         let solo = run_repetitions(&target, &img, &cfg, 1, 7);
         let multi = run_repetitions(&target, &img, &cfg, 3, 7);
         assert_eq!(

@@ -10,7 +10,7 @@ use wf_ossim::{App, AppId, DriftScenario, DriftSchedule, SimOs};
 use wf_platform::{
     min_max_normalize, rolling_crash_rate, serve, throughput_memory_score, DriftConfig,
     EvalBackend, InProcessBackend, RecordingSink, RemoteBackend, Series, Session, SessionEvent,
-    SessionSpec, SimTarget, SpawnBackend,
+    SessionSpec, SimTarget,
 };
 use wf_search::RandomSearch;
 
@@ -34,20 +34,18 @@ fn fixture_target() -> SimTarget {
     )
 }
 
-/// The three backend families the determinism contract quantifies over.
+/// The two backend families the determinism contract quantifies over.
 /// "Remote" is the real wire protocol: one `serve` loop per lane on the
 /// far side of a socketpair, each materializing the fixture target the
 /// way a `wf-evald` process would.
 #[derive(Clone, Copy, Debug)]
 enum BackendKind {
-    Spawn,
     InProcess,
     Remote,
 }
 
 fn make_backend(kind: BackendKind, workers: usize) -> Box<dyn EvalBackend> {
     match kind {
-        BackendKind::Spawn => Box::new(SpawnBackend::new()),
         BackendKind::InProcess => Box::new(InProcessBackend::new(workers)),
         BackendKind::Remote => {
             let mut streams = Vec::new();
@@ -156,15 +154,15 @@ proptest! {
     // worker-count test keep the suite fast while still sweeping seeds.
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// The backend choice is not allowed to exist, observably: spawned
-    /// threads, the persistent in-process pool, and remote workers
-    /// behind the `wf-evald` socket protocol all produce the identical
+    /// The backend choice is not allowed to exist, observably: the
+    /// persistent in-process pool and remote workers behind the
+    /// `wf-evald` socket protocol both produce the identical
     /// history, best configuration, and compute clock as a 1-worker
     /// reference, at every pool width.
     #[test]
     fn sessions_are_backend_invariant(seed in any::<u64>(), iters in 6usize..12) {
         let reference = run_traced(seed, 1, iters);
-        for kind in [BackendKind::Spawn, BackendKind::InProcess, BackendKind::Remote] {
+        for kind in [BackendKind::InProcess, BackendKind::Remote] {
             for workers in [1usize, 2, 4, 8] {
                 let t = run_traced_on(kind, seed, workers, iters);
                 prop_assert_eq!(
@@ -267,7 +265,7 @@ proptest! {
             prop_assert_eq!(first(&t), first(&reference), "first detection diverged at {} workers", workers);
         }
         let two = drift_decisions(None, seed, 2, iters);
-        for kind in [BackendKind::Spawn, BackendKind::InProcess, BackendKind::Remote] {
+        for kind in [BackendKind::InProcess, BackendKind::Remote] {
             let t = drift_decisions(Some(kind), seed, 2, iters);
             prop_assert_eq!(&t, &two, "decisions diverged on {:?}", kind);
         }

@@ -113,7 +113,7 @@ fn main() -> ExitCode {
     }
 }
 
-const USAGE: &str = "usage:\n  wfctl run [<job.yaml>] [--os K] [--app A] [--workers N]\n            [--iterations I] [--time-budget-s S] [--repetitions R]\n            [--seed S] [--out DIR] [--backend B] [--routing R]\n                              run a job file to completion; flags override\n                              the job's keys (and WF_WORKERS). With --os\n                              and no job file, runs an ad-hoc random-search\n                              session on the registered target K. --out\n                              (or the job's `out:` key) writes a session\n                              store: manifest.yaml + events.jsonl.\n                              --backend picks where evaluations execute\n                              (spawn | in-process | remote; remote launches\n                              one wf-evald process per worker); --routing\n                              picks the slot->lane strategy (random |\n                              fastest | round-robin | preferred)\n  wfctl resume <DIR> [--iterations I] [--time-budget-s S]\n                              resume an interrupted session store where it\n                              stopped (optionally extending the budget);\n                              no completed evaluation is re-run\n  wfctl report <DIR>          render the full report of a session store,\n                              offline — zero re-evaluations\n  wfctl verify <DIR>          verify the store's hash-chained event\n                              ledger line by line (tamper/corruption check)\n  wfctl validate <job.yaml>   parse + resolve a job without running it\n  wfctl daemon [--root DIR]   serve the wfd multi-tenant daemon in the\n                              foreground over the state root DIR (or\n                              WF_DAEMON); Ctrl-C parks every session at\n                              its wave boundary, resumable\n  wfctl submit <job.yaml> [--daemon DIR]\n                              hand a job to a running daemon; prints the\n                              session id and store directory. The root\n                              resolves --daemon > WF_DAEMON > the job's\n                              `daemon:` key\n  wfctl sessions [--daemon DIR]\n                              list the daemon's sessions and statuses\n  wfctl watch <ID> [--daemon DIR]\n                              stream a daemon session's events until it\n                              ends (or Ctrl-C; the session keeps running)\n  wfctl stop <ID> [--daemon DIR]\n                              park a daemon session at its next wave\n                              boundary; its store resumes with\n                              `wfctl resume`\n  wfctl targets               list every registered target\n  wfctl bench [--quick] [--out PATH] [--target K]\n                              time the controller-side hot paths (search\n                              propose/observe batches, DeepTune batches,\n                              store append/replay, wave dispatch) and\n                              optionally write the machine-readable JSON\n                              (BENCH_search.json is the committed baseline\n                              the CI perf gate diffs against). --target K\n                              times the search hot paths on the registered\n                              target K's own space and sampling policy\n                              instead (BENCH_<K>.json are the committed\n                              per-target baselines)\n  wfctl probe                 run the §3.4 runtime-space inference\n  wfctl lint [ROOT] [--format human|json] [--out PATH] [--list-rules]\n                              run the wf-lint determinism & robustness\n                              static analysis over the workspace (ROOT\n                              defaults to `.`; config from wf-lint.toml);\n                              exits nonzero on any unsuppressed finding —\n                              the same check CI's lint-pass leg enforces\n  wfctl experiments           list the regeneration targets\n  wfctl --help                show this help";
+const USAGE: &str = "usage:\n  wfctl run [<job.yaml>] [--os K] [--app A] [--workers N]\n            [--iterations I] [--time-budget-s S] [--repetitions R]\n            [--seed S] [--out DIR] [--backend B] [--routing R]\n                              run a job file to completion; flags override\n                              the job's keys (and WF_WORKERS). With --os\n                              and no job file, runs an ad-hoc random-search\n                              session on the registered target K. --out\n                              (or the job's `out:` key) writes a session\n                              store: manifest.yaml + events.jsonl.\n                              --backend picks where evaluations execute\n                              (in-process | remote; remote launches one\n                              wf-evald process per worker); --routing\n                              picks the slot->lane strategy (random |\n                              fastest | round-robin | preferred)\n  wfctl resume <DIR> [--iterations I] [--time-budget-s S]\n                              resume an interrupted session store where it\n                              stopped (optionally extending the budget);\n                              no completed evaluation is re-run\n  wfctl report <DIR>          render the full report of a session store,\n                              offline — zero re-evaluations\n  wfctl verify <DIR>          verify the store's hash-chained event\n                              ledger line by line (tamper/corruption check)\n  wfctl validate <job.yaml>   parse + resolve a job without running it\n  wfctl daemon [--root DIR]   serve the wfd multi-tenant daemon in the\n                              foreground over the state root DIR (or\n                              WF_DAEMON); Ctrl-C parks every session at\n                              its wave boundary, resumable\n  wfctl submit <job.yaml> [--daemon DIR]\n                              hand a job to a running daemon; prints the\n                              session id and store directory. The root\n                              resolves --daemon > WF_DAEMON > the job's\n                              `daemon:` key\n  wfctl sessions [--daemon DIR]\n                              list the daemon's sessions and statuses\n  wfctl watch <ID> [--daemon DIR]\n                              stream a daemon session's events until it\n                              ends (or Ctrl-C; the session keeps running)\n  wfctl stop <ID> [--daemon DIR]\n                              park a daemon session at its next wave\n                              boundary; its store resumes with\n                              `wfctl resume`\n  wfctl targets               list every registered target\n  wfctl bench [--quick] [--out PATH] [--target K]\n                              time the controller-side hot paths (search\n                              propose/observe batches, DeepTune batches,\n                              store append/replay, wave dispatch) and\n                              optionally write the machine-readable JSON\n                              (BENCH_search.json is the committed baseline\n                              the CI perf gate diffs against). --target K\n                              times the search hot paths on the registered\n                              target K's own space and sampling policy\n                              instead (BENCH_<K>.json are the committed\n                              per-target baselines)\n  wfctl probe                 run the §3.4 runtime-space inference\n  wfctl lint [ROOT] [--format human|json] [--out PATH] [--list-rules]\n                              run the wf-lint determinism & robustness\n                              static analysis over the workspace (ROOT\n                              defaults to `.`; config from wf-lint.toml);\n                              exits nonzero on any unsuppressed finding —\n                              the same check CI's lint-pass leg enforces\n  wfctl experiments           list the regeneration targets\n  wfctl --help                show this help";
 
 /// Parses one flag value, advancing the cursor.
 fn flag_value(rest: &[String], i: &mut usize, flag: &str) -> Result<String, String> {
@@ -220,7 +220,7 @@ impl RunArgs {
                 "--backend" => {
                     let value = flag_value(rest, &mut i, "--backend")?;
                     run.backend = Some(BackendChoice::parse_keyword(&value).ok_or_else(|| {
-                        format!("--backend must be spawn, in-process, or remote, got {value:?}")
+                        format!("--backend must be in-process or remote, got {value:?}")
                     })?);
                 }
                 "--routing" => {
@@ -693,6 +693,20 @@ fn resume_job(args: &ResumeArgs) -> ExitCode {
             "note: {} record(s) of an incomplete wave will be re-evaluated",
             loaded.dropped_records
         );
+    }
+    // Only an iteration budget narrows a wave, so a narrow last wave means
+    // the stored run's budget was not a multiple of `workers`: an
+    // uninterrupted run of the extended budget never has that wave.
+    let workers = session.platform().workers();
+    let stored = loaded.records.len();
+    if let Some(&last) = loaded.wave_sizes.last() {
+        if last < workers && job.budget.iterations.is_none_or(|n| n > stored) {
+            println!(
+                "note: the store ends in a {last}-wide wave of a {workers}-lane session \
+                 (its {stored}-iteration budget is not a multiple of `workers`), so the \
+                 extended run will not match an uninterrupted one"
+            );
+        }
     }
     println!(
         "replayed {} evaluation(s) across {} wave(s) — zero re-evaluations",

@@ -396,3 +396,59 @@ fn wfctl_run_resume_report_round_trip() {
     );
     std::fs::remove_dir_all(&base).ok();
 }
+
+/// A store whose iteration budget is not a multiple of `workers` ends in
+/// a narrow wave that an uninterrupted run of a larger budget never has,
+/// so extending it cannot reproduce that run. `wfctl resume` says so;
+/// a budget on a wave boundary resumes silently.
+#[test]
+fn wfctl_resume_notes_a_narrow_tail_wave() {
+    let base = temp_dir("narrow-tail");
+    std::fs::create_dir_all(&base).unwrap();
+    let job = base.join("job.yaml");
+    std::fs::write(
+        &job,
+        "name: tail\nos: unikraft\nalgorithm: bayesian\nseed: 7\nworkers: 4\nbudget:\n  iterations: 60\n",
+    )
+    .unwrap();
+    let job = job.to_str().unwrap().to_string();
+    for (budget, narrow) in [("30", true), ("28", false)] {
+        let dir = base.join(budget).to_str().unwrap().to_string();
+        let (ok, _) = wfctl(&["run", &job, "--out", &dir, "--iterations", budget]);
+        assert!(ok, "run to {budget}");
+        let (ok, resumed) = wfctl(&["resume", &dir, "--iterations", "60"]);
+        assert!(ok, "resume from {budget}");
+        let notes = resumed
+            .lines()
+            .filter(|l| l.starts_with("note:") && l.contains("wide wave"))
+            .count();
+        assert_eq!(notes, usize::from(narrow), "H={budget}:\n{resumed}");
+    }
+    std::fs::remove_dir_all(&base).ok();
+}
+
+/// `spawn` is not a backend: the flag is a usage error (exit 2) and a job
+/// file naming it fails validation with the field named.
+#[test]
+fn wfctl_rejects_the_spawn_backend() {
+    let output = Command::new(env!("CARGO_BIN_EXE_wfctl"))
+        .args(["run", "--os", "unikraft", "--backend", "spawn"])
+        .output()
+        .unwrap();
+    assert_eq!(output.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(stderr.contains("in-process or remote"), "{stderr}");
+
+    let base = temp_dir("spawn-backend");
+    std::fs::create_dir_all(&base).unwrap();
+    let job = base.join("job.yaml");
+    std::fs::write(&job, "name: x\nos: unikraft\nbackend: spawn\n").unwrap();
+    let output = Command::new(env!("CARGO_BIN_EXE_wfctl"))
+        .args(["validate", job.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(!output.status.success());
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(stderr.contains("backend"), "{stderr}");
+    std::fs::remove_dir_all(&base).ok();
+}
